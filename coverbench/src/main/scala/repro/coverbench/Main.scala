@@ -2,11 +2,13 @@ package repro.coverbench
 
 import java.nio.file.Paths
 
-import scala.collection.immutable.ArraySeq
+import scala.collection.immutable.{ArraySeq, ListMap}
 import scala.collection.mutable.ArrayBuffer
 import scala.util.control.NonFatal
 
 import org.apache.spark.SparkException
+import org.json4s.DefaultFormats
+import org.json4s.jackson.Serialization
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
 import repro.core.{CoverResult, CoverValidator, DirectedGraph, SearchBudget, TopDown}
@@ -53,7 +55,7 @@ object Main {
   }
 
   def emit(fields: (String, Any)*): Unit = {
-    println("@@coverbench " + Json.obj(fields: _*))
+    println("@@coverbench " + Serialization.write(ListMap(fields: _*))(DefaultFormats))
     Console.out.flush()
   }
 

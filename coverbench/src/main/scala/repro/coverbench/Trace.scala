@@ -4,7 +4,11 @@ import java.nio.charset.StandardCharsets
 import java.nio.file.{Files, Path}
 import java.security.MessageDigest
 
+import scala.collection.immutable.ListMap
 import scala.collection.mutable.ArrayBuffer
+
+import org.json4s.DefaultFormats
+import org.json4s.jackson.Serialization
 
 /** A timed region around one call into a layer. `parent` is the id of the
   * enclosing span (-1 at the top); all spans of one operation share `op`.
@@ -48,10 +52,10 @@ final class Tracer(val enabled: Boolean) {
 
   def write(path: Path): Unit = {
     val rows = spans.iterator.filter(_ != null).map { s =>
-      Json.obj("id" -> s.id, "parent" -> s.parent, "op" -> s.op, "name" -> s.name,
+      ListMap("id" -> s.id, "parent" -> s.parent, "op" -> s.op, "name" -> s.name,
         "start_ns" -> s.startNs, "end_ns" -> s.endNs, "alloc_mb" -> s.allocMb)
-    }
-    Files.write(path, rows.mkString("[\n", ",\n", "\n]\n").getBytes(StandardCharsets.UTF_8))
+    }.toList
+    Files.write(path, (Serialization.write(rows)(DefaultFormats) + "\n").getBytes(StandardCharsets.UTF_8))
   }
 }
 
@@ -64,41 +68,5 @@ object CoverDigest {
     val buf = java.nio.ByteBuffer.allocate(8)
     ids.foreach { id => buf.clear(); buf.putLong(id); md.update(buf.array()) }
     md.digest().take(8).map(b => f"${b & 0xff}%02x").mkString
-  }
-}
-
-/** Minimal JSON rendering for the benchmark's event lines and span file. */
-object Json {
-  def obj(fields: (String, Any)*): String =
-    fields.map { case (k, v) => s"${str(k)}:${value(v)}" }.mkString("{", ",", "}")
-
-  def value(v: Any): String = v match {
-    case null | None => "null"
-    case Some(x) => value(x)
-    case s: String => str(s)
-    case b: Boolean => b.toString
-    case d: Double => if (d.isNaN || d.isInfinite) "null" else d.toString
-    case f: Float => value(f.toDouble)
-    case i: Int => i.toString
-    case l: Long => l.toString
-    case m: Map[_, _] => obj(m.toSeq.map { case (k, x) => k.toString -> x }: _*)
-    case s: Iterable[_] => s.map(value).mkString("[", ",", "]")
-    case a: Array[_] => value(a.toSeq)
-    case other => str(other.toString)
-  }
-
-  def str(s: String): String = {
-    val b = new StringBuilder("\"")
-    s.foreach {
-      case '"' => b ++= "\\\""
-      case '\\' => b ++= "\\\\"
-      case '\n' => b ++= "\\n"
-      case '\r' => b ++= "\\r"
-      case '\t' => b ++= "\\t"
-      case c if c < ' ' => b ++= f"\\u${c.toInt}%04x"
-      case c => b += c
-    }
-    b += '"'
-    b.result()
   }
 }

@@ -16,12 +16,6 @@ class CoverDigestSpec extends AnyFunSuite {
     assert(CoverDigest(Array(1L, -2L, 3L)) != CoverDigest(Array(3L, -2L, 1L)))
   }
 
-  test("event JSON escapes strings and renders nested values") {
-    assert(Json.obj("a" -> "x\"y\n", "b" -> Seq[Any](1, 2.5), "c" -> None, "d" -> Map("e" -> true)) ==
-      """{"a":"x\"y\n","b":[1,2.5],"c":null,"d":{"e":true}}""")
-    assert(Json.value(Double.NaN) == "null")
-  }
-
   test("workload scaling keeps names and k, and shrinks sizes") {
     val w = Workload.byName("fringe-k5")
     val s = w.scaled(0.1)

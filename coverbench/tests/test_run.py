@@ -3,7 +3,9 @@
     python3 -m unittest discover -s coverbench/tests       # from the checkout root
 
 The smoke tests build the benchmark (first time: a few minutes) and run each
-workload once at a tiny size; set COVERBENCH_SKIP_SMOKE=1 to skip them.
+workload once at a tiny size. The fast tests alone:
+
+    (cd coverbench/tests && python3 -m unittest test_run.StatsTest test_run.SummariseTest)
 """
 
 import json
@@ -11,8 +13,10 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 BENCH = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(BENCH))
@@ -114,7 +118,46 @@ class SummariseTest(unittest.TestCase):
         self.assertNotIn("cover_s", m)
 
 
-@unittest.skipIf(os.environ.get("COVERBENCH_SKIP_SMOKE") == "1", "smoke runs skipped")
+class BuildCacheTest(unittest.TestCase):
+    """The cached classpath keeps the classes of the sources it was built from."""
+
+    FAKE_SBT = """#!/bin/sh
+mkdir -p target
+printf '%s:%s\\n-Dopt=1\\n' "$FAKE_CLASSES" "$FAKE_JAR" > target/launch.txt
+"""
+
+    def test_cache_owns_its_classes(self):
+        with tempfile.TemporaryDirectory(dir=BENCH) as tmp:
+            root = Path(tmp)
+            bench, bin_dir, classes = root / "coverbench", root / "bin", root / "target" / "classes"
+            for d in (root / "src" / "main" / "scala", bench, bin_dir, classes):
+                d.mkdir(parents=True)
+            (root / "build.sbt").write_text("v1")
+            (bench / "build.sbt").write_text("")
+            (bin_dir / "sbt").write_text(self.FAKE_SBT)
+            (bin_dir / "sbt").chmod(0o755)
+            (root / "spark.jar").write_text("")
+            env = {"PATH": f"{bin_dir}{os.pathsep}{os.environ['PATH']}", "FAKE_CLASSES": str(classes),
+                   "FAKE_JAR": str(root / "spark.jar")}
+            with mock.patch.multiple(run, ROOT=root, BENCH=bench, OUT=root / "out"), \
+                    mock.patch.dict(os.environ, env):
+                (classes / "A.class").write_text("built from v1")
+                _, cp, opts = run.build()
+                self.assertEqual(opts, ["-Dopt=1"])
+                owned, jar = cp.split(os.pathsep)
+                self.assertTrue(owned.startswith(str(root / "out" / "classes-")))
+                self.assertEqual(jar, str(root / "spark.jar"))
+                # Another source tree is built in the same checkout and
+                # overwrites sbt's classes; the cache for v1 is unaffected.
+                (classes / "A.class").write_text("built from v2")
+                self.assertEqual(run.build()[1], cp)
+                self.assertEqual((Path(owned) / "A.class").read_text(), "built from v1")
+                (root / "build.sbt").write_text("v2")
+                owned2 = run.build()[1].split(os.pathsep)[0]
+                self.assertNotEqual(owned2, owned)
+                self.assertEqual((Path(owned2) / "A.class").read_text(), "built from v2")
+
+
 class SmokeTest(unittest.TestCase):
     """Each workload end to end at a tiny size: build, run, check, report."""
 
