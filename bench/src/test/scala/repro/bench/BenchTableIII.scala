@@ -1,47 +1,13 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{CoverValidator, TopDown}
-import repro.graphgen.Datasets
 
-/** Reproduces paper Table III — cover size and runtime of DARC-DV, BUR+
-  * and TDB++ at k = 5 on every dataset.
-  *
-  * Expected shape (paper): TDB++ is 2–3 orders of magnitude faster than
-  * both baselines with a cover within a few percent of BUR+'s (the
-  * smallest); only TDB++ completes the heavy datasets (rows print "-",
-  * like the paper's dashes, where a baseline is skipped or DNFs).
-  *
-  * The TDB++ cover is validity- and minimality-checked with the fast
-  * validator so a fast-but-wrong run cannot masquerade as a reproduction.
+/** Paper Table III — cover size and runtime of DARC-DV, BUR+ and TDB++ at
+  * k = 5, defined in [[Tables.tableIII]].
   */
 class BenchTableIII extends SparkSpec {
 
-  private val k = 5
-
   test("Table III: cover size and runtime at k=5") {
-    val rows = Datasets.all.map { spec =>
-      val g = Harness.loadGraph(spark, spec)
-      val tdb = Harness.time(TopDown.cover(g, k))
-      assert(CoverValidator.isValid(g, k, 3, tdb.value.cover, fast = true),
-        s"${spec.name}: TDB++ cover invalid")
-      assert(CoverValidator.isMinimal(g, k, 3, tdb.value.cover, fast = true),
-        s"${spec.name}: TDB++ cover not minimal")
-      val darc =
-        if (spec.heavyOnly) Harness.Dnf("heavy: TDB++-only")
-        else Harness.runAlgo(g, "DARC-DV", k)
-      val burp =
-        if (spec.heavyOnly) Harness.Dnf("heavy: TDB++-only")
-        else Harness.runAlgo(g, "BUR+", k)
-      val cells = Seq(darc, burp).flatMap { o =>
-        val (s, t) = Harness.fmtCell(o); Seq(s, t)
-      } ++ Seq(tdb.value.size.toString, f"${tdb.millis / 1000.0}%.2f")
-      Seq(spec.name, g.n.toString, g.m.toString) ++ cells
-    }
-    Harness.emit("TABLE III", Harness.table(
-      Seq("Name", "|V|", "|E|",
-          "DARC-DV size", "DARC-DV s", "BUR+ size", "BUR+ s", "TDB++ size", "TDB++ s"),
-      rows))
-    assert(rows.nonEmpty)
+    assert(Tables.tableIII(spark).nonEmpty)
   }
 }

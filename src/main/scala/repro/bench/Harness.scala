@@ -5,9 +5,9 @@ import repro.core.{BottomUp, CoverResult, DirectedGraph, SearchBudget, TopDown}
 import repro.darc.DarcDV
 import repro.graphgen.DatasetSpec
 
-/** Shared benchmark plumbing for the table-reproduction suites and the
-  * spark-submit jobs: dataset loading, timing, DNF handling, and aligned
-  * ASCII table rendering. All rows are also echoed with a `[TABLE x]`
+/** Shared benchmark plumbing for the table definitions ([[Tables]]) and
+  * the spark-submit jobs: dataset loading, timing, DNF handling, and
+  * aligned ASCII table rendering. All rows are also echoed with a `[TABLE x]`
   * prefix so EXPERIMENTS.md numbers can be regenerated by grepping the
   * bench log.
   */

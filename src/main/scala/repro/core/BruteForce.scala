@@ -80,7 +80,7 @@ object BruteForce {
     val path = new mutable.ArrayBuffer[Int]
 
     def dfs(u: Int): Boolean = {
-      if (budget != null) budget.spend()
+      budget.spend()
       val (adj, lo, hi) = g.outSlice(u)
       var i = lo
       while (i < hi) {

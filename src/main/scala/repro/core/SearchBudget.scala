@@ -14,14 +14,14 @@ final class SearchBudget(val limit: Long) {
     used += 1
     if (used > limit) throw new SearchBudget.Exceeded(limit)
   }
-
-  def spent: Long = used
 }
 
 object SearchBudget {
   final class Exceeded(val limit: Long)
       extends RuntimeException(s"search budget of $limit visits exceeded")
 
-  /** No budget: searches run to completion. */
-  val Unlimited: SearchBudget = null
+  /** No budget: searches run to completion. A fresh instance per call, so
+    * default arguments never share a `used` counter.
+    */
+  def Unlimited: SearchBudget = new SearchBudget(Long.MaxValue)
 }

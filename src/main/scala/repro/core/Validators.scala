@@ -36,7 +36,7 @@ final class PlainDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3,
   override def existsCycleThrough(s: Int, allowed: Int => Boolean): Boolean = {
     def dfs(u: Int, d: Int): Boolean = {
       visitCount += 1
-      if (budget != null) budget.spend()
+      budget.spend()
       val (adj, lo, hi) = g.outSlice(u)
       var i = lo
       var found = false

@@ -83,7 +83,7 @@ object DarcDV {
       }
 
       def dfs(cur: Int): Boolean = {
-        if (budget != null) budget.spend()
+        budget.spend()
         var i = lg.outLo(cur)
         val hi = lg.outHi(cur)
         while (i < hi) {
@@ -106,14 +106,12 @@ object DarcDV {
       if (dfs(path.last)) path.toArray else null
     }
 
-    @inline def encode(x: Int, y: Int): Long = (x.toLong << 32) | (y.toLong & 0xffffffffL)
-
     def augment(a0: Int, b0: Int): Unit = {
       val id = arcId(a0, b0).toInt
       state(id) match {
         case InS => ()
         case InW =>
-          state(id) = InS; sSize += 1; P += encode(a0, b0)
+          state(id) = InS; sSize += 1; P += lg.encode(a0, b0)
         case _ =>
           var continue = true
           while (continue) {
@@ -129,13 +127,13 @@ object DarcDV {
                 i += 1
               }
               if (wFrom >= 0) {
-                state(arcId(wFrom, wTo).toInt) = InS; sSize += 1; P += encode(wFrom, wTo)
+                state(arcId(wFrom, wTo).toInt) = InS; sSize += 1; P += lg.encode(wFrom, wTo)
               } else {
                 i = 0
                 while (i < c.length) {
                   val x = c(i); val y = c((i + 1) % c.length)
                   val aid = arcId(x, y).toInt
-                  if (state(aid) != InS) { state(aid) = InS; sSize += 1; P += encode(x, y) }
+                  if (state(aid) != InS) { state(aid) = InS; sSize += 1; P += lg.encode(x, y) }
                   i += 1
                 }
                 continue = false // the probed arc is now in S
@@ -161,8 +159,8 @@ object DarcDV {
     // e avoids S \ {e} — i.e. no cycle whose only S-arc is e.
     while (P.nonEmpty) {
       val enc = P.removeHead()
-      val from = (enc >>> 32).toInt
-      val to = (enc & 0xffffffffL).toInt
+      val from = lg.arcFrom(enc)
+      val to = lg.arcTo(enc)
       val id = arcId(from, to)
       if (state(id.toInt) == InS) {
         val witness = findCycle(from, to, id)

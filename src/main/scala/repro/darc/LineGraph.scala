@@ -22,18 +22,6 @@ final class LineGraph(val g: DirectedGraph) {
   /** Number of line nodes = number of edges of G. */
   val size: Int = g.m
 
-  /** src of the G-edge behind each line node. */
-  val eSrc: Array[Int] = {
-    val a = new Array[Int](g.m)
-    var v = 0
-    while (v < g.n) {
-      var i = g.outOff(v); val end = g.outOff(v + 1)
-      while (i < end) { a(i) = v; i += 1 }
-      v += 1
-    }
-    a
-  }
-
   /** dst of the G-edge behind each line node (shared with G's CSR). */
   def eDst(e: Int): Int = g.outAdj(e)
 

@@ -3,7 +3,6 @@ package repro.dist
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{CoverResult, DirectedGraph, TopDown}
-import repro.gx.CyclePrefilter
 
 /** Distributed Top-Down hop-constrained cycle cover.
   *
@@ -12,10 +11,9 @@ import repro.gx.CyclePrefilter
   * exact minimal-cover pass then runs on the (orders-of-magnitude smaller)
   * core.
   *
-  *  1. optional GraphX SCC prefilter (drop the acyclic fringe),
-  *  2. DataFrame trim + k-bounded closed-walk filter
+  *  1. DataFrame trim + k-bounded closed-walk filter
   *     ([[ClosedWalkFilter]], the distributed Algorithm 11),
-  *  3. collect the induced core and run sequential TDB++
+  *  2. collect the induced core and run sequential TDB++
   *     ([[repro.core.TopDown]]) over it in ascending vertex-id order.
   *
   * The result is EXACTLY the cover sequential TDB++ would compute on the
@@ -30,12 +28,9 @@ object DistributedTDB {
                              result: CoverResult)
 
   def cover(spark: SparkSession, edges: DataFrame, k: Int, minLen: Int = 3,
-            useSccPrefilter: Boolean = false,
             maxCoreEdges: Long = 50_000_000L): DistCover = {
     import spark.implicits._
-    val cleaned = ClosedWalkFilter.clean(edges)
-    val pre = if (useSccPrefilter) CyclePrefilter.coreEdges(spark, cleaned) else cleaned
-    val core = ClosedWalkFilter.coreEdges(pre, k).persist()
+    val core = ClosedWalkFilter.coreEdges(ClosedWalkFilter.clean(edges), k).persist()
     val coreEdgeCount = core.count()
     require(coreEdgeCount <= maxCoreEdges,
       s"cyclic core still has $coreEdgeCount edges (> $maxCoreEdges); " +

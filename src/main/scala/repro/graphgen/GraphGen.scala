@@ -14,8 +14,8 @@ import org.apache.spark.sql.types.LongType
   *  - [[uniform]]   — Erdős–Rényi-style: peer-to-peer / email graphs
   *  - [[powerLaw]]  — Zipf-skewed endpoints with a rich-club core: social /
   *                    vote / AS-topology graphs
-  *  - [[community]] — dense intra-community blocks plus global skew: web
-  *                    graphs with local link loops
+  *  - [[corePeriphery]] — dense cyclic core plus a rank-forward fringe: the
+  *                    Table II–IV dataset stand-ins
   *
   * Every generator returns DataFrame(src: Long, dst: Long) with vertices in
   * [0, n), no self-loops, deduplicated; output is a pure function of
@@ -157,35 +157,5 @@ object GraphGen {
         withRecip.union(pairs).union(pairs.select(col("dst") as "src", col("src") as "dst"))
       }
     finish(scramble(withLocal, n, seed))
-  }
-
-  /** Community-structured digraph: vertices split into blocks of size
-    * `communitySize`; a `pIntra` fraction of edges stay inside the source's
-    * block (dense local loops, as in web-site link structure), the rest go
-    * to Zipf-skewed global targets.
-    */
-  def community(spark: SparkSession, n: Long, m: Long, communitySize: Long = 50,
-                pIntra: Double = 0.8, alpha: Double = 1.1, fb: Double = 0.0,
-                seed: Long = 13): DataFrame = {
-    // rand() is non-deterministic per expression OCCURRENCE, so the draws
-    // must be materialised in a first projection before src is reused to
-    // derive the community base — otherwise src and its block decouple.
-    val draws = spark.range(m).select(
-      (rand(seed) * n).cast(LongType) as "src",
-      rand(seed + 1) as "rIntra",
-      rand(seed + 2) as "rGlobal",
-      rand(seed + 3) as "rPick",
-    )
-    val base = col("src") - (col("src") % communitySize)
-    val intra = least(lit(n - 1), base + (col("rIntra") * communitySize).cast(LongType))
-    val globalRank = least(lit(n - 1), greatest(lit(0L),
-      pow(lit(1.0) / (col("rGlobal") + lit(1e-12)), lit(1.0 / alpha)).cast(LongType) - 1))
-    // No id-scramble here: block membership stays inspectable from the ids
-    // (block = v / communitySize), which tests and diagnostics rely on.
-    finish(forwardBias(
-      draws.select(
-        col("src"),
-        when(col("rPick") < pIntra, intra).otherwise(globalRank) as "dst",
-      ), fb, seed + 9))
   }
 }

@@ -47,15 +47,6 @@ class DistributedTDBSpec extends SparkSpec {
     }
   }
 
-  test("SCC prefilter path produces the same cover") {
-    val g = TestGraphs.random(20, 65, seed = 3)
-    val base = DistributedTDB.cover(spark, toDf(g), 5, useSccPrefilter = false)
-      .cover.collect().map(_.getLong(0)).sorted.toSeq
-    val withScc = DistributedTDB.cover(spark, toDf(g), 5, useSccPrefilter = true)
-      .cover.collect().map(_.getLong(0)).sorted.toSeq
-    assert(base == withScc)
-  }
-
   test("DAG: empty cover, empty core") {
     val res = DistributedTDB.cover(spark, df((0, 1), (1, 2), (0, 2)), k = 5)
     assert(res.cover.count() == 0)

@@ -46,26 +46,6 @@ class GraphGenSpec extends SparkSpec {
                      col("dst") < 0 || col("dst") >= 1000).count() == 0)
   }
 
-  test("community generator: most edges stay within the block") {
-    val cs = 50L
-    val df = GraphGen.community(spark, n = 5000, m = 20000, communitySize = cs,
-                                pIntra = 0.8, seed = 5).cache()
-    val intra = df.filter((col("src") - (col("src") % cs)) ===
-                          (col("dst") - (col("dst") % cs))).count()
-    val frac = intra.toDouble / df.count()
-    assert(frac > 0.6, s"intra fraction $frac")
-  }
-
-  test("community generator: deterministic and in range") {
-    val a = GraphGen.community(spark, 1000, 4000, seed = 6).collect().toSet
-    val b = GraphGen.community(spark, 1000, 4000, seed = 6).collect().toSet
-    assert(a == b)
-    assert(a.forall { r =>
-      val s = r.getLong(0); val d = r.getLong(1)
-      s >= 0 && s < 1000 && d >= 0 && d < 1000 && s != d
-    })
-  }
-
   test("corePeriphery: deterministic, no self-loops, ids in range") {
     val a = GraphGen.corePeriphery(spark, n = 2000, nCore = 300, mCore = 3000,
       mPeri = 8000, seed = 4).collect().toSet
