@@ -34,11 +34,10 @@ object Harness {
 
   /** Visit budget for the worst-case-exponential searches, so a blow-up in
     * a baseline prints "-" (like the paper's dashes) instead of hanging the
-    * bench. ~1e10 visits is a few minutes of JVM search. Override with
-    * BENCH_BUDGET. TDB+/TDB++ are O(k·m) per validation and need none.
+    * bench. 1e10 visits is a few minutes of JVM search. TDB+/TDB++ are
+    * O(k·m) per validation and need none.
     */
-  def searchBudget: SearchBudget =
-    new SearchBudget(sys.env.get("BENCH_BUDGET").map(_.toLong).getOrElse(10_000_000_000L))
+  def searchBudget: SearchBudget = new SearchBudget(10_000_000_000L)
 
   def outcomeOf(body: => CoverResult): Outcome =
     try {

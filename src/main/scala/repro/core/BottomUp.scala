@@ -23,16 +23,16 @@ object BottomUp {
             budget: SearchBudget = SearchBudget.Unlimited): CoverResult = {
     require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
     val hits = new Array[Long](g.n)
-    val inCover = new Array[Boolean](g.n)
+    val present = Array.fill(g.n)(true) // not in the cover
     val order = mutable.ArrayBuffer.empty[Int] // cover insertion order
-    val present: Int => Boolean = v => !inCover(v)
+    val find = new FindCycle(g, k, minLen, budget)
     var cyclesFound = 0L
 
     var v = 0
     while (v < g.n) {
-      var continue = !inCover(v)
+      var continue = present(v)
       while (continue) {
-        val c = BruteForce.findCycleThrough(g, k, minLen, v, present, budget)
+        val c = find.findCycleThrough(v, present)
         if (c == null) continue = false
         else {
           cyclesFound += 1
@@ -45,7 +45,7 @@ object BottomUp {
             if (hits(c(i)) > hits(best)) best = c(i)
             i += 1
           }
-          inCover(best) = true
+          present(best) = false
           order += best
           if (best == v) continue = false // v itself covers everything through v
         }
@@ -55,18 +55,16 @@ object BottomUp {
 
     var prunedCount = 0L
     if (minimalPrune) {
-      // Algorithm 7: keep v only if it still witnesses a cycle once every
+      // Algorithm 7: keep u only if it still witnesses a cycle once every
       // OTHER cover vertex is removed from the graph.
-      for (u <- order if inCover(u)) {
-        val allowedFn: Int => Boolean = x => !inCover(x) || x == u
-        if (!BruteForce.existsCycleThrough(g, k, minLen, u, allowedFn, budget)) {
-          inCover(u) = false
-          prunedCount += 1
-        }
+      for (u <- order) {
+        present(u) = true
+        if (find.existsCycleThrough(u, present)) present(u) = false
+        else prunedCount += 1
       }
     }
 
-    val ids = (0 until g.n).iterator.filter(inCover).map(g.idOf).toArray
+    val ids = (0 until g.n).iterator.filterNot(present).map(g.idOf).toArray
     CoverResult(ids, Map("cyclesFound" -> cyclesFound, "pruned" -> prunedCount))
   }
 }

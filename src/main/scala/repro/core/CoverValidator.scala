@@ -7,19 +7,20 @@ package repro.core
   */
 object CoverValidator {
 
-  private def allowedFn(g: DirectedGraph, coverIds: Array[Long]): Int => Boolean = {
-    val inCover = new Array[Boolean](g.n)
+  /** Mask of the vertices outside the cover (ids absent from `g` are skipped). */
+  private def outside(g: DirectedGraph, coverIds: Array[Long]): Array[Boolean] = {
+    val allowed = Array.fill(g.n)(true)
     coverIds.foreach { id =>
       val v = java.util.Arrays.binarySearch(g.ids, id)
-      if (v >= 0) inCover(v) = true
+      if (v >= 0) allowed(v) = false
     }
-    v => !inCover(v)
+    allowed
   }
 
   /** Valid ⟺ the graph induced on V − C has no constrained cycle. */
   def isValid(g: DirectedGraph, k: Int, minLen: Int, coverIds: Array[Long],
               fast: Boolean = false): Boolean = {
-    val allowed = allowedFn(g, coverIds)
+    val allowed = outside(g, coverIds)
     if (!fast) !BruteForce.existsConstrainedCycle(g, k, minLen, allowed)
     else {
       val filter = new BfsFilter(g, k)
@@ -39,18 +40,16 @@ object CoverValidator {
     */
   def isMinimal(g: DirectedGraph, k: Int, minLen: Int, coverIds: Array[Long],
                 fast: Boolean = false): Boolean = {
-    val inCover = new Array[Boolean](g.n)
-    coverIds.foreach { id =>
-      val v = java.util.Arrays.binarySearch(g.ids, id)
-      if (v >= 0) inCover(v) = true
-    }
-    val blockDfs = new BlockDfsValidator(g, k, minLen)
+    val allowed = outside(g, coverIds)
+    val validator: NodeValidator =
+      if (fast) new BlockDfsValidator(g, k, minLen) else new FindCycle(g, k, minLen)
     coverIds.forall { id =>
       val c = java.util.Arrays.binarySearch(g.ids, id)
       c >= 0 && {
-        val allowed: Int => Boolean = x => !inCover(x) || x == c
-        if (!fast) BruteForce.existsCycleThrough(g, k, minLen, c, allowed)
-        else blockDfs.existsCycleThrough(c, allowed)
+        allowed(c) = true
+        val witnessed = validator.existsCycleThrough(c, allowed)
+        allowed(c) = false
+        witnessed
       }
     }
   }

@@ -24,7 +24,7 @@ final case class CoverResult(cover: Array[Long], stats: Map[String, Long]) {
   * a witness cycle whose other vertices are permanently outside the cover).
   *
   * Variants — identical covers, different validation cost:
-  *   - TDB    : plain bounded DFS validation
+  *   - TDB    : plain bounded DFS validation ([[FindCycle]])
   *   - TDB+   : block ("barrier") DFS, O(k·m) per validation ⇒ O(k·m·n) total
   *   - TDB++  : TDB+ preceded by the linear BFS-filter (Algorithm 11)
   */
@@ -39,41 +39,30 @@ object TopDown {
             variant: Variant = TDBPlusPlus,
             budget: SearchBudget = SearchBudget.Unlimited): CoverResult = {
     require(k >= minLen, s"hop constraint k=$k below minimum cycle length $minLen")
-    val allowed = new Array[Boolean](g.n) // membership in D ∪ {current v}
-    val inCover = new Array[Boolean](g.n)
+    // Membership in D ∪ {current v}; once the loop is done, the vertices
+    // left out are exactly the cover.
+    val allowed = new Array[Boolean](g.n)
     val validator: NodeValidator = variant match {
-      case TDB => new PlainDfsValidator(g, k, minLen, budget)
+      case TDB => new FindCycle(g, k, minLen, budget)
       case _   => new BlockDfsValidator(g, k, minLen)
     }
     val filter = if (variant == TDBPlusPlus) new BfsFilter(g, k) else null
     var validations = 0L
-    var coverCount = 0
-    val allowedFn: Int => Boolean = allowed
 
     var v = 0
     while (v < g.n) {
       allowed(v) = true
-      val mayCycle = filter == null || filter.mayHaveCycle(v, allowedFn)
+      val mayCycle = filter == null || filter.mayHaveCycle(v, allowed)
       val necessary = mayCycle && {
         validations += 1
-        validator.existsCycleThrough(v, allowedFn)
+        validator.existsCycleThrough(v, allowed)
       }
-      if (necessary) {
-        inCover(v) = true
-        coverCount += 1
-        allowed(v) = false // kept in cover: its edges never enter G0 again
-      }
+      if (necessary) allowed(v) = false // kept in cover: its edges never enter G0 again
       v += 1
     }
 
-    val ids = new Array[Long](coverCount)
-    var i = 0; var w = 0
-    while (i < g.n) {
-      if (inCover(i)) { ids(w) = g.idOf(i); w += 1 }
-      i += 1
-    }
     CoverResult(
-      ids,
+      (0 until g.n).iterator.filterNot(allowed).map(g.idOf).toArray,
       Map(
         "validations" -> validations,
         "dfsVisits"   -> validator.visits,

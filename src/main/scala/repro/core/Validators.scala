@@ -7,59 +7,84 @@ package repro.core
   * Node Necessary Validation (Section VI-C). Three strategies reproduce the
   * paper's TDB / TDB+ / TDB++ variants:
   *
-  *   - [[PlainDfsValidator]]  — bounded DFS, worst-case exponential (TDB)
+  *   - [[FindCycle]]          — bounded DFS, worst-case exponential (TDB)
   *   - [[BlockDfsValidator]]  — Algorithm 9/10 block ("barrier") DFS, O(km) (TDB+)
   *   - [[BfsFilter]]          — Algorithm 11 linear pre-filter (added in TDB++)
   *
   * Validators carry per-run counters (`visits`, `calls`, `pruned`) consumed
-  * by the speed-up benchmark (paper Fig. 10 rendered as a table).
+  * by the speed-up benchmark (paper Fig. 10 rendered as a table). The vertex
+  * set is a mask indexed by internal vertex id, which the caller owns and
+  * may change between calls.
   */
 trait NodeValidator {
   /** True iff a simple cycle of length in [minLen, k] through `s` exists
-    * using only vertices accepted by `allowed` (s itself must be allowed).
+    * using only vertices `v` with `allowed(v)` (s itself must be allowed).
     */
-  def existsCycleThrough(s: Int, allowed: Int => Boolean): Boolean
+  def existsCycleThrough(s: Int, allowed: Array[Boolean]): Boolean
 
   /** Vertices pushed onto the search stack across all calls so far. */
   def visits: Long
 }
 
-/** TDB validator: the unadorned bounded DFS (same search as FindCycle). */
-final class PlainDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3,
-                              budget: SearchBudget = SearchBudget.Unlimited)
+/** The paper's FindCycle (Algorithm 5): the unadorned bounded DFS, and
+  * TDB's node-necessary validation. BUR/BUR+ use it to find the cycles they
+  * break; the plain cover check uses it to look for surviving ones.
+  *
+  * Worst-case exponential in k, so every visit spends one unit of `budget`.
+  * The on-path array and the size-k path buffer are allocated once, so one
+  * instance serves every search of a run.
+  */
+final class FindCycle(g: DirectedGraph, k: Int, minLen: Int = 3,
+                      budget: SearchBudget = SearchBudget.Unlimited)
     extends NodeValidator {
   private var visitCount = 0L
   private val onPath = new Array[Boolean](g.n)
+  private val path = new Array[Int](k)
 
   override def visits: Long = visitCount
 
-  override def existsCycleThrough(s: Int, allowed: Int => Boolean): Boolean = {
-    def dfs(u: Int, d: Int): Boolean = {
+  override def existsCycleThrough(s: Int, allowed: Array[Boolean]): Boolean =
+    search(s, allowed) > 0
+
+  /** First constrained cycle through `s` in DFS order, as a fresh array of
+    * its vertices starting at `s`, or null.
+    */
+  def findCycleThrough(s: Int, allowed: Array[Boolean]): Array[Int] = {
+    val len = search(s, allowed)
+    if (len == 0) null else java.util.Arrays.copyOf(path, len)
+  }
+
+  // Length of the first cycle found, left in path(0 until len); 0 if none.
+  private def search(s: Int, allowed: Array[Boolean]): Int = {
+    // u = path(d) is on the stack at depth d (edges from s).
+    def dfs(u: Int, d: Int): Int = {
       visitCount += 1
       budget.spend()
-      val (adj, lo, hi) = g.outSlice(u)
-      var i = lo
-      var found = false
-      while (!found && i < hi) {
-        val w = adj(i)
+      var i = g.outOff(u)
+      val hi = g.outOff(u + 1)
+      var len = 0
+      while (len == 0 && i < hi) {
+        val w = g.outAdj(i)
         if (allowed(w)) {
           if (w == s) {
-            val len = d + 1
-            if (len >= minLen && len <= k) found = true
+            if (d + 1 >= minLen && d + 1 <= k) len = d + 1
           } else if (!onPath(w) && d + 1 < k) {
             onPath(w) = true
-            found = dfs(w, d + 1)
+            path(d + 1) = w
+            len = dfs(w, d + 1)
             onPath(w) = false
           }
         }
         i += 1
       }
-      found
+      len
     }
+    if (!allowed(s)) return 0
     onPath(s) = true
-    val r = dfs(s, 0)
+    path(0) = s
+    val len = dfs(s, 0)
     onPath(s) = false
-    r
+    len
   }
 }
 
@@ -105,7 +130,7 @@ final class BlockDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3) extends
   @inline private def e(u: Int): Int = if (evidStamp(u) == stamp) evid(u) else Inf
   @inline private def setE(u: Int, v: Int): Unit = { evidStamp(u) = stamp; evid(u) = v }
 
-  override def existsCycleThrough(s: Int, allowed: Int => Boolean): Boolean = {
+  override def existsCycleThrough(s: Int, allowed: Array[Boolean]): Boolean = {
     stamp += 1
 
     // Record evidence of an x ⇝ s path of length l and propagate backwards.
@@ -114,10 +139,10 @@ final class BlockDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3) extends
       if (l <= k && l < e(x)) {
         setE(x, l)
         if (b(x) > l) setB(x, l)
-        val (adj, lo, hi) = g.inSlice(x)
-        var i = lo
+        var i = g.inOff(x)
+        val hi = g.inOff(x + 1)
         while (i < hi) {
-          val y = adj(i)
+          val y = g.inAdj(i)
           if (allowed(y) && y != s) unblock(y, l + 1)
           i += 1
         }
@@ -128,11 +153,11 @@ final class BlockDfsValidator(g: DirectedGraph, k: Int, minLen: Int = 3) extends
     // accepted cycle was found (terminates the whole search).
     def dfs(u: Int, d: Int): Boolean = {
       visitCount += 1
-      val (adj, lo, hi) = g.outSlice(u)
-      var i = lo
+      var i = g.outOff(u)
+      val hi = g.outOff(u + 1)
       var found = false
       while (!found && i < hi) {
-        val w = adj(i)
+        val w = g.outAdj(i)
         if (allowed(w)) {
           if (w == s) {
             val len = d + 1
@@ -183,7 +208,7 @@ final class BfsFilter(g: DirectedGraph, k: Int) {
   def calls: Long = callCount
 
   /** False ⇒ certainly no constrained cycle through s (safe to skip). */
-  def mayHaveCycle(s: Int, allowed: Int => Boolean): Boolean = {
+  def mayHaveCycle(s: Int, allowed: Array[Boolean]): Boolean = {
     callCount += 1
     if (g.outDeg(s) == 0 || g.inDeg(s) == 0) { prunedCount += 1; return false }
     stamp += 1
@@ -195,10 +220,10 @@ final class BfsFilter(g: DirectedGraph, k: Int) {
     var reachedReturn = false
     while (head < tail && depth < k - 1 && !reachedReturn) {
       val u = queue(head); head += 1
-      val (adj, lo, hi) = g.outSlice(u)
-      var i = lo
+      var i = g.outOff(u)
+      val hi = g.outOff(u + 1)
       while (i < hi && !reachedReturn) {
-        val w = adj(i)
+        val w = g.outAdj(i)
         if (w != s && allowed(w) && seenStamp(w) != stamp) {
           seenStamp(w) = stamp
           // Reached an in-neighbour of s => closed walk of length depth+2 <= k.

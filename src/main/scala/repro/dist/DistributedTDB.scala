@@ -1,7 +1,6 @@
 package repro.dist
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.{CoverResult, DirectedGraph, TopDown}
 
 /** Distributed Top-Down hop-constrained cycle cover.
@@ -30,19 +29,17 @@ object DistributedTDB {
   def cover(spark: SparkSession, edges: DataFrame, k: Int, minLen: Int = 3,
             maxCoreEdges: Long = 50_000_000L): DistCover = {
     import spark.implicits._
-    val core = ClosedWalkFilter.coreEdges(ClosedWalkFilter.clean(edges), k).persist()
+    val core = ClosedWalkFilter.coreEdges(edges, k).persist()
     val coreEdgeCount = core.count()
     require(coreEdgeCount <= maxCoreEdges,
       s"cyclic core still has $coreEdgeCount edges (> $maxCoreEdges); " +
         "raise maxCoreEdges or shrink k")
-    val coreVertices = core.select($"src" as "v").union(core.select($"dst" as "v"))
-      .distinct().count()
 
     val edgePairs = core.as[(Long, Long)].collect()
     val g = DirectedGraph.fromEdges(edgePairs.toSeq)
     val res = TopDown.cover(g, k, minLen, TopDown.TDBPlusPlus)
     core.unpersist()
     val coverDf = spark.createDataset(res.cover.toSeq).toDF("v")
-    DistCover(coverDf, coreVertices, coreEdgeCount, res)
+    DistCover(coverDf, g.n, coreEdgeCount, res)
   }
 }

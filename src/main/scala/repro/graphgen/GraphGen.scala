@@ -23,6 +23,9 @@ import org.apache.spark.sql.types.LongType
   */
 object GraphGen {
 
+  /** Share of periphery edges that point into the core. */
+  private val CoreAttach = 0.15
+
   private def finish(df: DataFrame): DataFrame =
     df.filter(col("src") =!= col("dst")).dropDuplicates("src", "dst")
 
@@ -100,8 +103,8 @@ object GraphGen {
     * interlock and the cycle cover is forced to a stable fraction of the
     * core regardless of algorithm) plus a large sparse periphery whose
     * edges are mostly rank-forward (≈ acyclic fringe). Core vertices are
-    * ranks [0, nCore) before scrambling; half the periphery edges attach to
-    * the core (hubs), half are global.
+    * ranks [0, nCore) before scrambling; 15 % of the periphery edges attach
+    * to the core (hubs), the rest are global.
     *
     * This is the generator behind the Table II/III/IV dataset stand-ins:
     * it reproduces the paper's cost regime (bounded-DFS baselines struggle
@@ -109,8 +112,8 @@ object GraphGen {
     * cover-size regime (TDB++ within a few percent of BUR+).
     */
   def corePeriphery(spark: SparkSession, n: Long, nCore: Long, mCore: Long,
-                    mPeri: Long, fb: Double = 0.9, coreAttach: Double = 0.15,
-                    pRecip: Double = 0.0, mRecip: Long = 0, seed: Long = 17): DataFrame = {
+                    mPeri: Long, fb: Double = 0.9, mRecip: Long = 0,
+                    seed: Long = 17): DataFrame = {
     val core = spark.range(mCore).select(
       (rand(seed) * nCore).cast(LongType) as "src",
       (rand(seed + 1) * nCore).cast(LongType) as "dst",
@@ -123,30 +126,19 @@ object GraphGen {
     )
     val peri = periDraws.select(
       col("src"),
-      when(col("rPick") < coreAttach, col("coreDst")).otherwise(col("globalDst")) as "dst",
+      when(col("rPick") < CoreAttach, col("coreDst")).otherwise(col("globalDst")) as "dst",
     )
     val base = core.union(forwardBias(peri, fb, seed + 9))
-    // Reciprocate a pRecip fraction of edges: real email/social/web graphs
-    // are heavily reciprocal, which is what drives the paper's Table IV
-    // (with-2-cycle covers several times larger). In the sparse periphery a
-    // twin mostly adds ONLY the 2-cycle (forward u⇝v return paths are
-    // rare), so the minLen=3 cover stays almost unchanged — matching the
-    // paper's observation that 2-cycles are best handled separately.
-    val withRecip =
-      if (pRecip <= 0) base
-      else {
-        val drawn = base.select(col("src"), col("dst"), (rand(seed + 13) < pRecip) as "tw")
-        drawn.select(col("src"), col("dst")).union(
-          drawn.filter(col("tw")).select(col("dst") as "src", col("src") as "dst"))
-      }
-    // Rank-LOCAL reciprocal pairs (u ↔ u+1..u+3): in a dense graph a
-    // random reciprocal twin inevitably also spawns ≥3-cycles (forward
+    // Rank-LOCAL reciprocal pairs (u ↔ u+1..u+3): real email/social/web
+    // graphs are heavily reciprocal, which is what drives the paper's
+    // Table IV (with-2-cycle covers several times larger). In a dense graph
+    // a random reciprocal twin inevitably also spawns ≥3-cycles (forward
     // return paths are plentiful), inflating the minLen=3 cover as well;
     // local pairs have almost no intermediate ranks to route through, so
     // they contribute (almost) pure 2-cycles — the structure behind the
     // paper's Table IV ratios on reciprocity-heavy graphs.
     val withLocal =
-      if (mRecip <= 0) withRecip
+      if (mRecip <= 0) base
       else {
         val pairDraws = spark.range(mRecip).select(
           (rand(seed + 21) * n).cast(LongType) as "u",
@@ -154,7 +146,7 @@ object GraphGen {
         )
         val pairs = pairDraws
           .select(col("u") as "src", least(lit(n - 1), col("u") + 1 + col("gap")) as "dst")
-        withRecip.union(pairs).union(pairs.select(col("dst") as "src", col("src") as "dst"))
+        base.union(pairs).union(pairs.select(col("dst") as "src", col("src") as "dst"))
       }
     finish(scramble(withLocal, n, seed))
   }

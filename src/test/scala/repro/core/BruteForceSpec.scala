@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.TestGraphs
+import repro.testkit.TestGraphs.mask
 
 class BruteForceSpec extends AnyFunSuite {
 
@@ -47,7 +48,7 @@ class BruteForceSpec extends AnyFunSuite {
 
   test("DAG has no cycles for any k") {
     assert(BruteForce.enumerateCycles(TestGraphs.dag, k = 7).isEmpty)
-    assert(!BruteForce.existsConstrainedCycle(TestGraphs.dag, 7, 3, _ => true))
+    assert(!BruteForce.existsConstrainedCycle(TestGraphs.dag, 7, 3, mask(TestGraphs.dag)))
   }
 
   test("each cycle reported exactly once, rotated to smallest vertex") {
@@ -74,15 +75,15 @@ class BruteForceSpec extends AnyFunSuite {
     val g = TestGraphs.random(12, 45, seed = 8)
     val k = 5
     val onCycle = BruteForce.enumerateCycles(g, k).flatten.toSet
+    val find = new FindCycle(g, k)
     for (v <- 0 until g.n) {
-      assert(BruteForce.existsCycleThrough(g, k, 3, v, _ => true) == onCycle.contains(v),
-        s"vertex $v")
+      assert(find.existsCycleThrough(v, mask(g)) == onCycle.contains(v), s"vertex $v")
     }
   }
 
   test("findCycleThrough returns a path starting at s that closes") {
     val g = TestGraphs.figure1
-    val c = BruteForce.findCycleThrough(g, 5, 3, 0, _ => true)
+    val c = new FindCycle(g, 5).findCycleThrough(0, mask(g))
     assert(c != null && c.head == 0)
     c.indices.foreach(i => assert(g.hasEdge(c(i), c((i + 1) % c.length))))
   }
@@ -90,9 +91,9 @@ class BruteForceSpec extends AnyFunSuite {
   test("allowed mask removes cycles") {
     val g = TestGraphs.bowTie
     // blocking vertex 0 kills both triangles
-    assert(!BruteForce.existsConstrainedCycle(g, 5, 3, v => v != 0))
+    assert(!BruteForce.existsConstrainedCycle(g, 5, 3, mask(g, 0)))
     // blocking vertex 1 leaves the 0-3-4 triangle
-    assert(BruteForce.existsConstrainedCycle(g, 5, 3, v => v != 1))
+    assert(BruteForce.existsConstrainedCycle(g, 5, 3, mask(g, 1)))
   }
 
   test("hop constraint is respected: longer cycles invisible at small k") {

@@ -77,10 +77,18 @@ class CoverPropertiesSpec extends AnyFunSuite {
   }
 
   test("property: residual graph has no constrained cycle (direct enumeration)") {
+    // Enumeration shares no search code with TDB, BUR+ or the plain checker.
     checkProp(Prop.forAll(graphGen, kGen) { (g, k) =>
-      val cover = TopDown.cover(g, k).cover.map(id =>
-        java.util.Arrays.binarySearch(g.ids, id)).toSet
-      BruteForce.enumerateCycles(g, k).forall(_.exists(cover.contains))
+      val cycles = BruteForce.enumerateCycles(g, k)
+      Seq(
+        TopDown.cover(g, k, 3, TopDown.TDB),
+        TopDown.cover(g, k, 3, TopDown.TDBPlus),
+        TopDown.cover(g, k),
+        BottomUp.cover(g, k, minimalPrune = true),
+      ).forall { r =>
+        val cover = r.cover.map(id => java.util.Arrays.binarySearch(g.ids, id)).toSet
+        cycles.forall(_.exists(cover.contains))
+      }
     })
   }
 

@@ -97,14 +97,6 @@ class DirectedGraphSpec extends AnyFunSuite {
     assert(g.outDeg(0) == 1 && g.inDeg(1) == 1)
   }
 
-  test("outSlice bounds cover exactly outDeg entries") {
-    val g = TestGraphs.random(25, 100, seed = 4)
-    for (v <- 0 until g.n) {
-      val (_, lo, hi) = g.outSlice(v)
-      assert(hi - lo == g.outDeg(v))
-    }
-  }
-
   test("edge count is stable under re-shuffling input order") {
     val edges = TestGraphs.random(30, 150, seed = 5).edgeSeq
     val shuffled = new scala.util.Random(9).shuffle(edges)

@@ -2,18 +2,20 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.TestGraphs
+import repro.testkit.TestGraphs.mask
 
 class ValidatorsSpec extends AnyFunSuite {
 
-  private def allTrue: Int => Boolean = _ => true
-
+  // Both validators against cycle enumeration, which shares no search code.
   private def checkAgreement(g: DirectedGraph, k: Int, minLen: Int = 3): Unit = {
-    val plain = new PlainDfsValidator(g, k, minLen)
+    val find = new FindCycle(g, k, minLen)
     val block = new BlockDfsValidator(g, k, minLen)
+    val all = mask(g)
+    val onCycle = BruteForce.enumerateCycles(g, k, minLen).flatten.toSet
     for (v <- 0 until g.n) {
-      val expected = BruteForce.existsCycleThrough(g, k, minLen, v, allTrue)
-      assert(plain.existsCycleThrough(v, allTrue) == expected, s"plain k=$k v=$v")
-      assert(block.existsCycleThrough(v, allTrue) == expected, s"block k=$k v=$v")
+      val expected = onCycle.contains(v)
+      assert(find.existsCycleThrough(v, all) == expected, s"find k=$k v=$v")
+      assert(block.existsCycleThrough(v, all) == expected, s"block k=$k v=$v")
     }
   }
 
@@ -94,21 +96,43 @@ class ValidatorsSpec extends AnyFunSuite {
   test("validators respect the allowed mask") {
     val g = TestGraphs.bowTie
     val block = new BlockDfsValidator(g, 5)
-    val plain = new PlainDfsValidator(g, 5)
-    val no1: Int => Boolean = v => v != 1
+    val find = new FindCycle(g, 5)
+    val no1 = mask(g, 1)
     assert(block.existsCycleThrough(0, no1))  // 0-3-4 remains
-    assert(plain.existsCycleThrough(0, no1))
-    val no134: Int => Boolean = v => v != 1 && v != 3
-    assert(!block.existsCycleThrough(0, no134))
-    assert(!plain.existsCycleThrough(0, no134))
+    assert(find.existsCycleThrough(0, no1))
+    val no13 = mask(g, 1, 3)
+    assert(!block.existsCycleThrough(0, no13))
+    assert(!find.existsCycleThrough(0, no13))
+  }
+
+  test("one FindCycle reused over all sources agrees with fresh instances") {
+    for (seed <- 1 to 6; minLen <- 2 to 3; k <- 3 to 6) {
+      val g = TestGraphs.random(16, 60, seed)
+      val rnd = new scala.util.Random(seed)
+      val allowed = Array.fill(g.n)(rnd.nextDouble() < 0.8)
+      val reused = new FindCycle(g, k, minLen)
+      for (s <- 0 until g.n if allowed(s)) {
+        val c = reused.findCycleThrough(s, allowed)
+        val fresh = new FindCycle(g, k, minLen).findCycleThrough(s, allowed)
+        val ctx = s"seed=$seed minLen=$minLen k=$k s=$s"
+        assert(Option(c).map(_.toSeq) == Option(fresh).map(_.toSeq), ctx)
+        if (c != null) {
+          assert(c.head == s, ctx)
+          assert(c.length >= minLen && c.length <= k, ctx)
+          assert(c.distinct.length == c.length, s"not simple: $ctx")
+          assert(c.forall(allowed(_)), s"disallowed vertex: $ctx")
+          c.indices.foreach(i => assert(g.hasEdge(c(i), c((i + 1) % c.length)), ctx))
+        }
+      }
+    }
   }
 
   test("block validator is reusable across many sources (stamp reset)") {
     val g = TestGraphs.random(25, 100, seed = 17)
     val block = new BlockDfsValidator(g, 5)
     // run twice over all vertices — second pass must agree with the first
-    val first = (0 until g.n).map(v => block.existsCycleThrough(v, allTrue))
-    val second = (0 until g.n).map(v => block.existsCycleThrough(v, allTrue))
+    val first = (0 until g.n).map(v => block.existsCycleThrough(v, mask(g)))
+    val second = (0 until g.n).map(v => block.existsCycleThrough(v, mask(g)))
     assert(first == second)
   }
 
@@ -119,7 +143,7 @@ class ValidatorsSpec extends AnyFunSuite {
       val filter = new BfsFilter(g, k)
       val onCycle = BruteForce.enumerateCycles(g, k).flatten.toSet
       for (v <- 0 until g.n if onCycle.contains(v)) {
-        assert(filter.mayHaveCycle(v, allTrue), s"seed=$seed v=$v wrongly pruned")
+        assert(filter.mayHaveCycle(v, mask(g)), s"seed=$seed v=$v wrongly pruned")
       }
     }
   }
@@ -127,41 +151,41 @@ class ValidatorsSpec extends AnyFunSuite {
   test("BFS filter prunes everything in a DAG") {
     val g = TestGraphs.dag
     val filter = new BfsFilter(g, 5)
-    for (v <- 0 until g.n) assert(!filter.mayHaveCycle(v, allTrue))
+    for (v <- 0 until g.n) assert(!filter.mayHaveCycle(v, mask(g)))
     assert(filter.pruned == g.n)
   }
 
   test("BFS filter respects the hop bound") {
     val g = TestGraphs.fromPairs((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)) // 5-cycle
-    assert(new BfsFilter(g, 5).mayHaveCycle(0, allTrue))
-    assert(!new BfsFilter(g, 4).mayHaveCycle(0, allTrue))
+    assert(new BfsFilter(g, 5).mayHaveCycle(0, mask(g)))
+    assert(!new BfsFilter(g, 4).mayHaveCycle(0, mask(g)))
   }
 
   test("BFS filter keeps the 2-cycle-only vertex (conservative, DFS decides)") {
     val g = TestGraphs.twoCycle
     val filter = new BfsFilter(g, 5)
-    assert(filter.mayHaveCycle(0, allTrue)) // conservative: closed walk exists
-    assert(!new BlockDfsValidator(g, 5).existsCycleThrough(0, allTrue))
+    assert(filter.mayHaveCycle(0, mask(g))) // conservative: closed walk exists
+    assert(!new BlockDfsValidator(g, 5).existsCycleThrough(0, mask(g)))
   }
 
   test("BFS filter honours the allowed mask") {
     val g = TestGraphs.triangle
     val filter = new BfsFilter(g, 5)
-    assert(filter.mayHaveCycle(0, _ => true))
-    assert(!filter.mayHaveCycle(0, v => v != 2))
+    assert(filter.mayHaveCycle(0, mask(g)))
+    assert(!filter.mayHaveCycle(0, mask(g, 2)))
   }
 
   test("zero-degree vertices are pruned immediately") {
     val g = TestGraphs.fromPairs((0, 1), (1, 2), (2, 0), (2, 3)) // 3 is a sink
     val filter = new BfsFilter(g, 5)
-    assert(!filter.mayHaveCycle(3, allTrue))
+    assert(!filter.mayHaveCycle(3, mask(g)))
   }
 
   test("validator visit counters increase monotonically") {
     val g = TestGraphs.random(20, 80, seed = 23)
     val block = new BlockDfsValidator(g, 5)
     val v0 = block.visits
-    block.existsCycleThrough(0, allTrue)
+    block.existsCycleThrough(0, mask(g))
     assert(block.visits >= v0)
   }
 }

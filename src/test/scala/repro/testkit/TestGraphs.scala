@@ -11,6 +11,15 @@ object TestGraphs {
       if (pairs.isEmpty) 0 else pairs.flatMap(p => Seq(p._1, p._2)).max + 1,
       pairs.map(p => (p._1, p._2)).toArray)
 
+  /** Vertex mask for the search kernels: every vertex of `g` allowed except
+    * `removed`.
+    */
+  def mask(g: DirectedGraph, removed: Int*): Array[Boolean] = {
+    val allowed = Array.fill(g.n)(true)
+    removed.foreach(allowed(_) = false)
+    allowed
+  }
+
   /** Directed triangle 0->1->2->0. */
   def triangle: DirectedGraph = fromPairs((0, 1), (1, 2), (2, 0))
 
@@ -55,14 +64,14 @@ object TestGraphs {
   /** Random digraph where a fraction of edges get a reciprocal twin —
     * stresses the 2-cycle-exclusion machinery (block DFS evidence paths).
     */
-  def randomWithReciprocals(n: Int, m: Int, pRecip: Double, seed: Long): DirectedGraph = {
+  def randomWithReciprocals(n: Int, m: Int, twinShare: Double, seed: Long): DirectedGraph = {
     val rnd = new Random(seed)
     val edges = Array.newBuilder[(Int, Int)]
     (0 until m).foreach { _ =>
       var s = rnd.nextInt(n); var d = rnd.nextInt(n)
       while (d == s) d = rnd.nextInt(n)
       edges += ((s, d))
-      if (rnd.nextDouble() < pRecip) edges += ((d, s))
+      if (rnd.nextDouble() < twinShare) edges += ((d, s))
     }
     DirectedGraph.fromInternal(n, edges.result())
   }
